@@ -88,9 +88,9 @@ func main() {
 		recvLoops  = flag.Int("recv-loops", 0, "socket receive goroutines per shard (0 = default)")
 		recvQueues = flag.Int("recv-queues", 0, "receive dispatch workers per shard (0 = GOMAXPROCS, min 4; each drives the striped verify path concurrently)")
 		queueCap   = flag.Int("queue-cap", 0, "per-shard receive queue capacity (0 = default)")
-		batchBytes = flag.Int("batch-bytes", 0, "batch datagram size budget (0 = default, <0 disables coalescing)")
-		coalesce   = flag.Duration("coalesce", 0, "max delay a queued send waits for a batch (0 = default, <0 disables)")
-		maxBatch   = flag.Int("max-batch", 0, "messages per batch datagram cap (0 = default)")
+		batchBytes = flag.Int("batch-bytes", 0, "batch datagram size budget (0 = default)")
+		coalesce   = flag.Duration("coalesce", 0, "max delay a queued send waits for a batch (0 = default)")
+		maxBatch   = flag.Int("max-batch", 0, "messages per batch datagram cap (0 = default, 1 = one datagram per message)")
 	)
 	var images imageFlags
 	flag.Var(&images, "image", "register a golden image as name=path (repeatable; first is the default; overrides -seed/-mem)")

@@ -13,8 +13,8 @@ import (
 // retry/backoff machinery is load-bearing. Zero verification failures
 // allowed; round-trip latency percentiles are reported. The round runs
 // in both wire modes: Batched (default coalescing — reports ride batch
-// frames) and PerReport (coalescing disabled, one data frame per
-// message, the wire-v1-compatible shape).
+// frames) and PerReport (MaxBatch 1: one plain data frame per
+// message).
 func TestE2ELoopbackFleet(t *testing.T) {
 	provers := 1000
 	if testing.Short() {
@@ -26,7 +26,7 @@ func TestE2ELoopbackFleet(t *testing.T) {
 		batched bool
 	}{
 		{"Batched", func(c *transport.NetConfig) {}, true},
-		{"PerReport", func(c *transport.NetConfig) { c.BatchBytes = -1; c.CoalesceDelay = -1 }, false},
+		{"PerReport", func(c *transport.NetConfig) { c.MaxBatch = 1 }, false},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

@@ -244,9 +244,9 @@ func TestRotationVerdictReasons(t *testing.T) {
 	}
 }
 
-// TestCheckpointCarriesImageBindings pins checkpoint codec v4: prover
-// image bindings survive WriteCheckpoint → Restore, pre-v4 files still
-// decode, and a binding naming an image the restoring registry lacks
+// TestCheckpointCarriesImageBindings pins the checkpoint image
+// records: prover image bindings survive WriteCheckpoint → Restore,
+// and a binding naming an image the restoring registry lacks
 // falls back to the default and is counted.
 func TestCheckpointCarriesImageBindings(t *testing.T) {
 	s, sensor, gateway := multiImageServer(t, 1)
@@ -297,64 +297,6 @@ func TestCheckpointCarriesImageBindings(t *testing.T) {
 	s3.Restore(dec)
 	if s3.ImageFallbacks() != 1 {
 		t.Fatalf("fallbacks = %d", s3.ImageFallbacks())
-	}
-}
-
-// TestCheckpointV3Legacy pins the v3 wire compatibility at the byte
-// level: a homogeneous fleet's v4 file IS a v3 file with a bumped
-// version byte, so flipping it back must decode identically — and a
-// v3 file carrying a v4 image record must be rejected, exactly as a
-// v3 binary would have done.
-func TestCheckpointV3Legacy(t *testing.T) {
-	s := localServer(t, Config{})
-	image := GoldenImage(7, testMem, testBlock)
-	for i := 0; i < 3; i++ {
-		p, err := NewProver(fmt.Sprintf("prv%05d", i), DefaultKey, image, testBlock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reports []core.Report
-		for c := uint64(1); c <= 2; c++ {
-			reports = append(reports, selfMeasure(t, p, c))
-		}
-		s.Ingest(p.Name, transport.KindCollection, reports)
-	}
-	cp := s.Checkpoint()
-	if cp.Images != nil {
-		t.Fatalf("homogeneous fleet stored bindings: %v", cp.Images)
-	}
-	var buf writerBuf
-	if _, err := cp.EncodeTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v3 := append([]byte(nil), buf.b...)
-	v3[2] = checkpointVersion3
-	dec, err := DecodeCheckpoint(v3)
-	if err != nil {
-		t.Fatalf("v3 decode: %v", err)
-	}
-	if len(dec.Erasmus) != len(cp.Erasmus) || dec.NonceCtr != cp.NonceCtr {
-		t.Fatalf("v3 decode mangled: %d windows", len(dec.Erasmus))
-	}
-
-	// A v4 file WITH image records downgraded to v3 must reject.
-	cp.Images = map[string]string{"prv00000": "gateway"}
-	var buf4 writerBuf
-	if _, err := cp.EncodeTo(&buf4); err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), buf4.b...)
-	bad[2] = checkpointVersion3
-	if _, err := DecodeCheckpoint(bad); err == nil {
-		t.Fatal("strict v3 decode accepted an image record")
-	}
-	// And at v4 it round-trips.
-	dec4, err := DecodeCheckpoint(buf4.b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec4.Images["prv00000"] != "gateway" {
-		t.Fatalf("v4 images = %v", dec4.Images)
 	}
 }
 

@@ -56,8 +56,8 @@ var (
 )
 
 // DefaultImageName is the registry name a single-image Config's Ref is
-// registered under, and the image v1 peers and imageless reports are
-// served against.
+// registered under, and the image that reports carrying no image id
+// are served against.
 const DefaultImageName = "default"
 
 // Image-related rejection reasons. ReasonStaleImage is the explicit

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,10 +196,21 @@ func TestCheckpointCodec(t *testing.T) {
 	if _, err := DecodeCheckpoint(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	bad = append([]byte(nil), enc...)
-	bad[2] = CheckpointVersion + 1
-	if _, err := DecodeCheckpoint(bad); err == nil {
-		t.Fatal("future version accepted")
+	// Only the current version decodes: older and future version bytes
+	// fail the strict decoder, fail as a chain base, and are dropped as
+	// a chain delta.
+	for _, ver := range []byte{1, 2, 3, CheckpointVersion + 1} {
+		bad = append([]byte(nil), enc...)
+		bad[2] = ver
+		if _, err := DecodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Fatalf("version %d: DecodeCheckpoint err = %v, want unsupported version", ver, err)
+		}
+		if _, _, err := DecodeChain(bad); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Fatalf("version %d: DecodeChain err = %v, want unsupported version", ver, err)
+		}
+		if _, chain, err := DecodeChain(enc, bad); err != nil || chain.Applied != 0 || chain.Dropped != 1 {
+			t.Fatalf("version %d delta: chain %+v err %v, want dropped", ver, chain, err)
+		}
 	}
 	bad = append([]byte(nil), enc...)
 	bad[3] |= 0x80

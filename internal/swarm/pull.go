@@ -46,7 +46,7 @@ func (c *Collector) PullOver(tr transport.Transport, self string, members []stri
 	}
 	// A round's fan-out is one small collect request per member — the
 	// shape batch coalescing exists for. When the transport can pack
-	// datagrams (transport.Net toward wire-v2 peers), the whole fan-out
+	// datagrams (transport.Net), the whole fan-out
 	// leaves in a few batch frames instead of len(members) datagrams.
 	if bs, ok := tr.(transport.BatchSender); ok {
 		ms := make([]transport.Msg, len(members))

@@ -138,7 +138,7 @@ func BenchmarkTransport_NetThroughput(b *testing.B) {
 	defer cli.Close()
 	var n atomic.Int64
 	srv.Bind("vrf", func(Msg) { n.Add(1) })
-	// Prime: learn the route and the server's wire version, so the
+	// Prime: learn the route and warm the buffers, so the
 	// measured flood reflects steady state rather than cold start.
 	if err := cli.Send(Msg{From: "prv", To: "vrf", Kind: KindHello}); err != nil {
 		b.Fatal(err)

@@ -21,7 +21,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			Reports: []*core.Report{conformanceReport(1), conformanceReport(2), conformanceReport(3)}},
 		{From: "prv", To: "vrf", Kind: KindSeedReport, ReqID: 9,
 			Reports: []*core.Report{conformanceReport(4)}},
-		// Image-bearing frames (wire v2): flag bit 1 + u8-length field.
+		// Image-bearing frames: flag bit 1 + u8-length field.
 		{From: "prv", To: "vrf", Kind: KindHello, ReqID: 10, Image: "sensor"},
 		{From: "prv", To: "vrf", Kind: KindReport, ReqID: 11, Image: "sensor@v2",
 			Reports: []*core.Report{conformanceReport(5)}},
@@ -66,25 +66,30 @@ func TestCodecAck(t *testing.T) {
 
 func TestCodecRejects(t *testing.T) {
 	good := AppendFrame(nil, &Msg{From: "a", To: "b", Kind: KindHello, ReqID: 1})
-	// An image-bearing frame downgraded to version 1: the flag must be
-	// rejected (v1 peers cannot express the field).
+	// Any version byte but CodecVersion rejects, whatever the frame
+	// type or content.
+	withVer := func(frame []byte, ver byte) []byte {
+		out := append([]byte(nil), frame...)
+		out[2] = ver
+		return out
+	}
 	withImg := AppendFrame(nil, &Msg{From: "a", To: "b", Kind: KindHello, ReqID: 1, Image: "i"})
-	v1img := append([]byte(nil), withImg...)
-	v1img[2] = 1
 	// The image flag set with a zero-length id: non-canonical, rejected
 	// ("no image" is a clear flag, nothing else).
 	emptyImg := append(append([]byte(nil), withImg[:len(withImg)-2]...), 0)
 	cases := map[string][]byte{
-		"empty":           {},
-		"short":           good[:8],
-		"bad magic":       append([]byte{'X', 'Y'}, good[2:]...),
-		"bad version":     append([]byte{'R', 'A', 99}, good[3:]...),
-		"bad frametype":   append([]byte{'R', 'A', CodecVersion, 7}, good[4:]...),
-		"trailing":        append(append([]byte{}, good...), 0),
-		"truncated":       good[:len(good)-1],
-		"image on v1":     v1img,
-		"empty image id":  emptyImg,
-		"image truncated": withImg[:len(withImg)-1],
+		"empty":               {},
+		"short":               good[:8],
+		"bad magic":           append([]byte{'X', 'Y'}, good[2:]...),
+		"bad version":         append([]byte{'R', 'A', 99}, good[3:]...),
+		"bad frametype":       append([]byte{'R', 'A', CodecVersion, 7}, good[4:]...),
+		"trailing":            append(append([]byte{}, good...), 0),
+		"truncated":           good[:len(good)-1],
+		"plain v1 data frame": withVer(good, 1),
+		"v1 ack":              withVer(AppendAck(nil, 1), 1),
+		"image on v1":         withVer(withImg, 1),
+		"empty image id":      emptyImg,
+		"image truncated":     withImg[:len(withImg)-1],
 	}
 	for name, frame := range cases {
 		if _, _, err := DecodeFrame(frame); err == nil {
@@ -106,9 +111,10 @@ func FuzzWireCodec(f *testing.F) {
 		Reports: []*core.Report{conformanceReport(3)}}))
 	imgSeed := AppendFrame(nil, &Msg{From: "p", To: "v", Kind: KindHello, ReqID: 7, Image: "i"})
 	f.Add(imgSeed)
+	// An unsupported version byte: must reject, not panic.
 	v1img := append([]byte(nil), imgSeed...)
 	v1img[2] = 1
-	f.Add(v1img) // image flag on a v1 frame: must reject, not panic
+	f.Add(v1img)
 	f.Add(append(append([]byte(nil), imgSeed[:len(imgSeed)-2]...), 0)) // empty image id
 	f.Add(AppendAck(nil, 12345))
 	f.Add([]byte{'R', 'A', CodecVersion, frameData, 0, 0, 0, 0, 0, 0, 0, 1})

@@ -298,11 +298,11 @@ func runConformance(t *testing.T, mk func(t *testing.T) *harness) {
 	})
 }
 
-// netHarnessPerReport disables send coalescing on both ends: every
-// message travels as its own data frame, the wire-v1-compatible shape.
+// netHarnessPerReport caps batches at one message on both ends: every
+// message travels as its own plain data frame.
 func netHarnessPerReport(t *testing.T) *harness {
 	t.Helper()
-	cfg := NetConfig{BatchBytes: -1, CoalesceDelay: -1}
+	cfg := NetConfig{MaxBatch: 1}
 	srv, err := Listen(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -43,18 +43,17 @@ type NetConfig struct {
 	QueueCap int
 	// BatchBytes budgets per-peer send coalescing: queued small sends
 	// to one destination are packed into a single batch datagram of at
-	// most this many bytes. Zero means the 1400-byte default (one
-	// conservative MTU); negative disables coalescing.
+	// most this many bytes. Zero or negative means the 1400-byte
+	// default (one conservative MTU).
 	BatchBytes int
 	// CoalesceDelay is the longest a queued send may wait for the
-	// batch to fill before it is flushed. Zero means the 500 µs
-	// default; negative disables coalescing. Coalescing only engages
-	// toward peers that have announced wire version >= 2 (learned from
-	// their inbound traffic) and only while earlier sends to that
-	// destination are still in flight, so a lone request/response
+	// batch to fill before it is flushed. Zero or negative means the
+	// 500 µs default. Coalescing only engages while earlier sends to
+	// that destination are still in flight, so a lone request/response
 	// round trip never pays the delay.
 	CoalesceDelay time.Duration
-	// MaxBatch caps messages per batch datagram; default 256.
+	// MaxBatch caps messages per batch datagram; default 256. MaxBatch
+	// 1 sends every message as its own plain data frame.
 	MaxBatch int
 	// DropRate injects independent datagram loss on the send path
 	// (testing the retry machinery without tc/netem); DropSeed makes
@@ -89,17 +88,12 @@ func (c *NetConfig) withDefaults() NetConfig {
 		out.QueueCap = 1024
 	}
 	switch {
-	case out.BatchBytes < 0:
-		out.BatchBytes = 0 // coalescing disabled
-	case out.BatchBytes == 0:
+	case out.BatchBytes <= 0:
 		out.BatchBytes = 1400
 	case out.BatchBytes < batchOverhead+perSubOverhead+16:
 		out.BatchBytes = batchOverhead + perSubOverhead + 16
 	}
-	switch {
-	case out.CoalesceDelay < 0:
-		out.CoalesceDelay = 0 // coalescing disabled
-	case out.CoalesceDelay == 0:
+	if out.CoalesceDelay <= 0 {
 		out.CoalesceDelay = 500 * time.Microsecond
 	}
 	if out.MaxBatch <= 0 {
@@ -110,9 +104,6 @@ func (c *NetConfig) withDefaults() NetConfig {
 	}
 	return out
 }
-
-// coalescing reports whether send coalescing is configured on.
-func (c *NetConfig) coalescing() bool { return c.BatchBytes > 0 && c.CoalesceDelay > 0 }
 
 // NetStats counts datagram-level outcomes.
 type NetStats struct {
@@ -132,15 +123,14 @@ type NetStats struct {
 }
 
 // peerState is the per-destination-address send state: the resolved
-// address, the peer's announced wire version, the count of reliable
-// sends in flight toward it, and the coalescing queue of encoded
-// sub-frames awaiting a batch flush. Peers register once per distinct
-// address; every endpoint name routed to the same address shares one
-// peerState, so a daemon answering a thousand provers behind one
-// client socket coalesces across all of them.
+// address, the count of reliable sends in flight toward it, and the
+// coalescing queue of encoded sub-frames awaiting a batch flush. Peers
+// register once per distinct address; every endpoint name routed to
+// the same address shares one peerState, so a daemon answering a
+// thousand provers behind one client socket coalesces across all of
+// them.
 type peerState struct {
 	ap       netip.AddrPort
-	v2       atomic.Bool  // peer has announced wire version >= 2
 	inflight atomic.Int64 // reliable sends awaiting ack toward ap
 
 	cmu     sync.Mutex // guards the coalescing queue below
@@ -417,10 +407,9 @@ func (n *Net) Send(m Msg) error {
 
 // SendBatch implements BatchSender: it queues every message into its
 // destination's coalescing buffer (flushing on the size budget) and
-// flushes the touched destinations at the end, so a burst addressed to
-// version-2 peers leaves in as few datagrams as the budget allows.
-// Messages for version-1 peers, oversized messages, and everything
-// else coalescing cannot carry fall back to individual data frames.
+// flushes the touched destinations at the end, so a burst leaves in as
+// few datagrams as the budget allows. A message too large for the
+// budget falls back to an individual data frame.
 func (n *Net) SendBatch(ms []Msg) error {
 	touched := make(map[*peerState]struct{}, 4)
 	for i := range ms {
@@ -457,9 +446,6 @@ func (n *Net) SendBatch(ms []Msg) error {
 // reporting whether it consumed the message. force (SendBatch) skips
 // the lone-round-trip heuristic.
 func (n *Net) coalesce(st *peerState, m *Msg, force bool) bool {
-	if !n.cfg.coalescing() || !st.v2.Load() {
-		return false
-	}
 	if !force && st.inflight.Load() <= 1 && st.queuedNone() {
 		// At most one send awaiting ack toward this destination: a
 		// serial request/response exchange (whose previous ack may
@@ -622,7 +608,7 @@ func (n *Net) transmit(frame []byte, ap netip.AddrPort, retry bool) {
 	n.conn.WriteToUDPAddrPort(frame, ap)
 }
 
-func (n *Net) getBuf() *recvBuf  { return n.bufPool.Get().(*recvBuf) }
+func (n *Net) getBuf() *recvBuf { return n.bufPool.Get().(*recvBuf) }
 func (n *Net) putBuf(rb *recvBuf) {
 	rb.epoch.Add(1) // invalidate any views still pointing here
 	n.bufPool.Put(rb)
@@ -674,8 +660,7 @@ func (n *Net) recvLoop() {
 	}
 }
 
-// handleAck resolves an ack against the pending table: the request is
-// confirmed, and the ack's version byte reveals the peer speaks v2.
+// handleAck resolves an ack against the pending table.
 func (n *Net) handleAck(f *Frame) {
 	sh := &n.pend[f.ReqID%pendShards]
 	sh.mu.Lock()
@@ -687,9 +672,6 @@ func (n *Net) handleAck(f *Frame) {
 	}
 	e.st.inflight.Add(-1)
 	n.stats.acked.Add(1)
-	if f.Ver >= 2 && !e.st.v2.Load() {
-		e.st.v2.Store(true)
-	}
 }
 
 // addrShard maps a source address onto a queue index (FNV-1a over the
@@ -761,10 +743,10 @@ func (n *Net) sendAck(scratch []byte, reqID uint64, to netip.AddrPort) []byte {
 }
 
 // deliver routes one decoded data frame (standalone or batch sub) to
-// its handler: learn the sender's address and version, suppress
-// duplicates, dispatch.
+// its handler: learn the sender's address, suppress duplicates,
+// dispatch.
 func (n *Net) deliver(f *Frame, from netip.AddrPort) {
-	n.learnPeer(f.From, from, f.Ver)
+	n.learnPeer(f.From, from)
 	if f.ReqID != 0 {
 		ds := &n.dedups[strShard(f.From)]
 		ds.mu.Lock()
@@ -794,8 +776,8 @@ func (n *Net) deliver(f *Frame, from netip.AddrPort) {
 	}
 }
 
-// learnPeer records name -> address and the peer's wire version.
-func (n *Net) learnPeer(name string, from netip.AddrPort, ver byte) {
+// learnPeer records name -> address.
+func (n *Net) learnPeer(name string, from netip.AddrPort) {
 	if name == "" {
 		return
 	}
@@ -804,20 +786,13 @@ func (n *Net) learnPeer(name string, from netip.AddrPort, ver byte) {
 	n.pmu.RUnlock()
 	if st == nil || st.ap != from {
 		n.pmu.Lock()
-		st = n.peerForLocked(from)
-		n.peers[name] = st
+		n.peers[name] = n.peerForLocked(from)
 		n.pmu.Unlock()
-	}
-	if ver >= 2 && !st.v2.Load() {
-		st.v2.Store(true)
 	}
 }
 
 // flushAll flushes every destination's coalescing queue.
 func (n *Net) flushAll() {
-	if !n.cfg.coalescing() {
-		return
-	}
 	n.pmu.RLock()
 	sts := make([]*peerState, 0, len(n.byAddr))
 	for _, st := range n.byAddr {

@@ -9,7 +9,6 @@ import (
 
 	"saferatt/internal/core"
 	"saferatt/internal/inccache"
-	"saferatt/internal/mem"
 	"saferatt/internal/suite"
 )
 
@@ -47,10 +46,10 @@ type Batch struct {
 	blockSize int
 	nblocks   int
 
-	cache  atomic.Pointer[batchCache]        // immutable epoch→group→tag table
+	cache  atomic.Pointer[batchCache]          // immutable epoch→group→tag table
 	golden atomic.Pointer[inccache.ImageCache] // lazily built for incremental reports
-	key    atomic.Pointer[keyMemo]           // []byte→string memo of the fleet key
-	mu     sync.Mutex                        // serializes copy-on-write publication
+	key    atomic.Pointer[keyMemo]             // []byte→string memo of the fleet key
+	mu     sync.Mutex                          // serializes copy-on-write publication
 
 	reports  atomic.Uint64
 	computed atomic.Uint64
@@ -107,21 +106,6 @@ func NewBatch(hash suite.HashID, img Image) *Batch {
 		b.golden.Store(inccache.SharedImage(img.golden, inccache.DigestHash(hash)))
 	}
 	return b
-}
-
-// NewBatchRef builds a batch verifier over raw golden bytes.
-//
-// Deprecated: use NewBatch(hash, ImageOf(ref, blockSize)). Kept one
-// release for the pre-registry three-argument constructor's callers.
-func NewBatchRef(hash suite.HashID, ref []byte, blockSize int) *Batch {
-	return NewBatch(hash, ImageOf(ref, blockSize))
-}
-
-// NewBatchGolden builds a batch verifier over a shared golden image.
-//
-// Deprecated: use NewBatch(hash, ImageOfGolden(g)). Kept one release.
-func NewBatchGolden(hash suite.HashID, g *mem.Golden) *Batch {
-	return NewBatch(hash, ImageOfGolden(g))
 }
 
 // Verify checks one report against the golden image under the given

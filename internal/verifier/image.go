@@ -63,8 +63,8 @@ func (im Image) Golden() *mem.Golden { return im.golden }
 
 // ImageID names one version of a registered image: a short stable
 // name plus a version number that Rotate bumps. Version 0 means
-// "whatever version is current" — the form v1 peers and imageless
-// reports resolve through. The zero ImageID addresses the registry's
+// "whatever version is current" — the form reports carrying no image
+// id resolve through. The zero ImageID addresses the registry's
 // default image at its current version.
 type ImageID struct {
 	Name    string

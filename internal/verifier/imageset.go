@@ -206,7 +206,7 @@ func (s *ImageSet) Rotate(name string, img Image) (ImageID, error) {
 	return id, nil
 }
 
-// SetDefault names the image v1 peers and imageless reports verify
+// SetDefault names the image that reports carrying no image id verify
 // against.
 func (s *ImageSet) SetDefault(name string) error {
 	s.mu.Lock()
