@@ -194,64 +194,52 @@ func main() {
 		}
 		fmt.Print(experiments.RenderE12(experiments.E12FleetSelf(cfg)))
 	})
+	// E14–E17 log progress to stderr and exit on a failed invariant.
+	stderrf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	must := func(name string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			os.Exit(1)
+		}
+	}
 	run("E14: sharded verifier tier (shard-count sweep over real UDP sockets)", *exp == "e14", func() {
-		cfg := experiments.E14Config{Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}}
+		cfg := experiments.E14Config{Logf: stderrf}
 		if *quick {
 			cfg.Provers = 5000
 			cfg.ShardCounts = []int{1, 4}
 		}
 		rows, err := experiments.E14ShardScale(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "e14:", err)
-			os.Exit(1)
-		}
+		must("e14", err)
 		fmt.Print(experiments.RenderE14(rows))
 		writeCSV("e14.csv", func(w io.Writer) error { return experiments.E14CSV(w, rows) })
 	})
 	run("E15: million-prover single-shard run (intra-shard concurrency)", *exp == "e15", func() {
-		cfg := experiments.E15Config{Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}}
+		cfg := experiments.E15Config{Logf: stderrf}
 		if *quick {
 			cfg.Provers = 100_000
 		}
 		res, err := experiments.E15MillionProvers(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "e15:", err)
-			os.Exit(1)
-		}
+		must("e15", err)
 		fmt.Print(experiments.RenderE15(res))
 		writeCSV("e15.csv", func(w io.Writer) error { return experiments.E15CSV(w, res) })
 	})
 	run("E16: zero-stall incremental checkpointing under fleet ingest", *exp == "e16", func() {
-		cfg := experiments.E16Config{Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}}
+		cfg := experiments.E16Config{Logf: stderrf}
 		if *quick {
 			cfg.Provers = 100_000
 		}
 		res, err := experiments.E16ZeroStallCheckpoint(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "e16:", err)
-			os.Exit(1)
-		}
+		must("e16", err)
 		fmt.Print(experiments.RenderE16(res))
 		writeCSV("e16.csv", func(w io.Writer) error { return experiments.E16CSV(w, res) })
 	})
 	run("E17: heterogeneous fleet — image registry with live golden rotation", *exp == "e17", func() {
-		cfg := experiments.E17Config{Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}}
+		cfg := experiments.E17Config{Logf: stderrf}
 		if *quick {
 			cfg.Provers = 20_000
 		}
 		res, err := experiments.E17HeterogeneousFleet(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "e17:", err)
-			os.Exit(1)
-		}
+		must("e17", err)
 		fmt.Print(experiments.RenderE17(res))
 		writeCSV("e17.csv", func(w io.Writer) error { return experiments.E17CSV(w, res) })
 	})

@@ -180,8 +180,12 @@ type rattpingOpts struct {
 // consecutive ports starting at the base address, exactly as
 // `rattd -shards` lays it out, and provers route by rendezvous hash.
 func runRattping(o rattpingOpts) {
+	addrs, err := tierAddrs(o.addr, max(o.shards, 1))
+	if err != nil {
+		fatal(err)
+	}
 	cfg := rattd.FleetConfig{
-		Addr:        o.addr,
+		Addrs:       addrs,
 		Provers:     o.provers,
 		Concurrency: o.concurrency,
 		Image:       rattd.GoldenImage(o.seed, o.memSize, o.block),
@@ -192,11 +196,6 @@ func runRattping(o rattpingOpts) {
 	}
 	target := o.addr
 	if o.shards > 1 {
-		addrs, err := tierAddrs(o.addr, o.shards)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Addrs = addrs
 		target = fmt.Sprintf("%s (+%d shard ports)", o.addr, o.shards-1)
 	}
 	fmt.Printf("rattping: %d provers -> %s (image seed=%d, %d bytes in %d-byte blocks)\n",

@@ -26,15 +26,6 @@ type E14Config struct {
 	Provers int
 	// ShardCounts sweeps the tier width; default {1, 2, 4, 8}.
 	ShardCounts []int
-	// MemSize / BlockSize set the prover image; defaults 4 KiB / 256.
-	MemSize   int
-	BlockSize int
-	// History is the ERASMUS collection depth; default 2.
-	History int
-	// Concurrency caps simultaneously active provers; default 512.
-	Concurrency int
-	// Seed parameterizes the golden image.
-	Seed uint64
 	// Logf, if set, receives per-row progress.
 	Logf func(format string, args ...any)
 }
@@ -46,22 +37,14 @@ func (c *E14Config) setDefaults() {
 	if c.ShardCounts == nil {
 		c.ShardCounts = []int{1, 2, 4, 8}
 	}
-	if c.MemSize == 0 {
-		c.MemSize = 4 << 10
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 256
-	}
-	if c.History == 0 {
-		c.History = 2
-	}
-	if c.Concurrency == 0 {
-		c.Concurrency = 512
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
 }
+
+// Each E14 prover bundles an ERASMUS collection of e14History
+// self-measurements; at most e14Concurrency provers run at once.
+const (
+	e14History     = 2
+	e14Concurrency = 512
+)
 
 // E14Row is one shard-count operating point.
 type E14Row struct {
@@ -96,7 +79,7 @@ type E14Row struct {
 // wall time is honestly per-row.
 func E14ShardScale(cfg E14Config) ([]E14Row, error) {
 	cfg.setDefaults()
-	image := rattd.GoldenImage(cfg.Seed, cfg.MemSize, cfg.BlockSize)
+	image := goldenImage(0)
 	var rows []E14Row
 	for _, n := range cfg.ShardCounts {
 		row, err := e14Point(cfg, image, n)
@@ -126,7 +109,7 @@ func e14Point(cfg E14Config, image []byte, shards int) (E14Row, error) {
 		addrs = append(addrs, l.Addr().String())
 	}
 	tier, err := rattd.ServeTier(trs, rattd.TierConfig{
-		Base: rattd.Config{Ref: image, BlockSize: cfg.BlockSize},
+		Base: rattd.Config{Ref: image, BlockSize: fleetBlockSize},
 	})
 	if err != nil {
 		return row, err
@@ -137,10 +120,10 @@ func e14Point(cfg E14Config, image []byte, shards int) (E14Row, error) {
 	res, err := rattd.RunFleet(rattd.FleetConfig{
 		Addrs:       addrs,
 		Provers:     cfg.Provers,
-		Concurrency: cfg.Concurrency,
+		Concurrency: e14Concurrency,
 		Image:       image,
-		BlockSize:   cfg.BlockSize,
-		History:     cfg.History,
+		BlockSize:   fleetBlockSize,
+		History:     e14History,
 	})
 	if err != nil {
 		return row, err

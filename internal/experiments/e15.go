@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -33,11 +32,6 @@ import (
 type E15Config struct {
 	// Provers is the fleet size; default 1_000_000.
 	Provers int
-	// MemSize / BlockSize set the golden image; defaults 4 KiB / 256.
-	MemSize   int
-	BlockSize int
-	// History is the collection depth per round; default 4.
-	History int
 	// SeedEvery sends a SeED report for every n-th prover (per-prover
 	// nonces make SeED the expensive, unamortizable path); default 16.
 	SeedEvery int
@@ -46,10 +40,6 @@ type E15Config struct {
 	ReplayEvery int
 	// Workers is the ingest concurrency; default GOMAXPROCS.
 	Workers int
-	// Stripes overrides the server's lock-stripe count; 0 = default.
-	Stripes int
-	// Seed parameterizes the golden image.
-	Seed uint64
 	// Logf, if set, receives phase progress.
 	Logf func(format string, args ...any)
 }
@@ -58,26 +48,11 @@ func (c *E15Config) setDefaults() {
 	if c.Provers == 0 {
 		c.Provers = 1_000_000
 	}
-	if c.MemSize == 0 {
-		c.MemSize = 4 << 10
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 256
-	}
-	if c.History == 0 {
-		c.History = 4
-	}
 	if c.SeedEvery == 0 {
 		c.SeedEvery = 16
 	}
 	if c.ReplayEvery == 0 {
 		c.ReplayEvery = 1000
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
 	}
 }
 
@@ -115,7 +90,7 @@ type E15Result struct {
 	BytesPerProver       float64
 	Round2BytesPerProver float64
 
-	// CheckpointBytes is the encoded v2 checkpoint size (fixed window
+	// CheckpointBytes is the encoded v4 checkpoint size (fixed window
 	// per prover); CheckpointNS the snapshot+encode wall time.
 	CheckpointBytes int
 	CheckpointNS    int64
@@ -124,112 +99,60 @@ type E15Result struct {
 // E15MillionProvers runs the scale experiment.
 func E15MillionProvers(cfg E15Config) (*E15Result, error) {
 	cfg.setDefaults()
-	logf := func(format string, args ...any) {
-		if cfg.Logf != nil {
-			cfg.Logf(format, args...)
-		}
-	}
-	image := rattd.GoldenImage(cfg.Seed, cfg.MemSize, cfg.BlockSize)
-	srv, err := rattd.Serve(transport.NewLocal(), rattd.Config{
-		Ref: image, BlockSize: cfg.BlockSize, Stripes: cfg.Stripes,
-	})
+	image := goldenImage(0)
+	srv, err := serveLocal(rattd.Config{Ref: image})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
+	f := newFleet(cfg.Provers, cfg.Workers, cfg.Logf)
 	res := &E15Result{
-		Provers: cfg.Provers, Workers: cfg.Workers,
-		Stripes: srv.Stripes(), History: cfg.History,
+		Provers: cfg.Provers, Workers: f.workers,
+		Stripes: srv.Stripes(), History: fleetHistory,
 	}
 
-	names := make([]string, cfg.Provers)
-	for i := range names {
-		names[i] = fmt.Sprintf("prv%07d", i)
-	}
-	// Template bundles: the fleet shares one key, so for a given
-	// counter every prover's ERASMUS report is byte-identical — one
-	// measurement serves a million submissions (the same amortization
-	// the batch verifier performs on the receive side).
-	tmpl, err := rattd.NewProver("tmpl", rattd.DefaultKey, image, cfg.BlockSize)
+	const h = fleetHistory
+	round1, err := bundle(image, 1, h)
 	if err != nil {
 		return nil, err
 	}
-	bundle := func(lo, hi uint64) ([]core.Report, error) {
-		var rs []core.Report
-		for c := lo; c <= hi; c++ {
-			r, err := tmpl.SelfMeasure(c)
-			if err != nil {
-				return nil, err
-			}
-			rs = append(rs, *r)
-		}
-		return rs, nil
-	}
-	h := uint64(cfg.History)
-	round1, err := bundle(1, h)
-	if err != nil {
-		return nil, err
-	}
-	round2, err := bundle(h+1, 2*h)
+	round2, err := bundle(image, h+1, 2*h)
 	if err != nil {
 		return nil, err
 	}
 
 	res.HeapBaseBytes = settledHeap()
 
-	// fanOut runs fn(i) for every prover index across the worker pool.
-	fanOut := func(fn func(i int)) {
-		var wg sync.WaitGroup
-		per := (cfg.Provers + cfg.Workers - 1) / cfg.Workers
-		for w := 0; w < cfg.Workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if hi > cfg.Provers {
-				hi = cfg.Provers
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-
 	start := time.Now()
-	fanOut(func(i int) {
-		srv.Ingest(names[i], transport.KindCollection, round1)
+	f.each(func(i int) {
+		srv.Ingest(f.names[i], transport.KindCollection, round1)
 	})
 	res.Sent += uint64(cfg.Provers) * h
 	res.HeapRound1Bytes = settledHeap()
-	logf("e15: round 1 done: %d provers enrolled, heap %.1f MiB",
+	f.logf("e15: round 1 done: %d provers enrolled, heap %.1f MiB",
 		srv.Enrolled(), float64(res.HeapRound1Bytes)/(1<<20))
 
-	fanOut(func(i int) {
-		srv.Ingest(names[i], transport.KindCollection, round2)
+	f.each(func(i int) {
+		srv.Ingest(f.names[i], transport.KindCollection, round2)
 	})
 	res.Sent += uint64(cfg.Provers) * h
 	res.HeapRound2Bytes = settledHeap()
-	logf("e15: round 2 done: heap %.1f MiB", float64(res.HeapRound2Bytes)/(1<<20))
+	f.logf("e15: round 2 done: heap %.1f MiB", float64(res.HeapRound2Bytes)/(1<<20))
 
 	// SeED phase: per-prover nonces, so each report is individually
 	// measured prover-side and individually verified daemon-side — the
 	// unamortizable fraction of fleet traffic.
 	var seedErr error
 	var seedErrMu sync.Mutex
-	fanOut(func(i int) {
+	f.each(func(i int) {
 		if i%cfg.SeedEvery != 0 {
 			return
 		}
-		p, err := rattd.NewProver(names[i], rattd.DefaultKey, image, cfg.BlockSize)
+		p, err := rattd.NewProver(f.names[i], rattd.DefaultKey, image, fleetBlockSize)
 		if err == nil {
 			var r *core.Report
 			if r, err = p.SeedReport(1); err == nil {
-				srv.Ingest(names[i], transport.KindSeedReport, []core.Report{*r})
+				srv.Ingest(f.names[i], transport.KindSeedReport, []core.Report{*r})
 			}
 		}
 		if err != nil {
@@ -250,11 +173,11 @@ func E15MillionProvers(cfg E15Config) (*E15Result, error) {
 	// bundle; every report must be rejected, each counted as a replay
 	// exactly once.
 	preReplay := srv.Counts()
-	fanOut(func(i int) {
+	f.each(func(i int) {
 		if i%cfg.ReplayEvery != 0 {
 			return
 		}
-		srv.Ingest(names[i], transport.KindCollection, round1)
+		srv.Ingest(f.names[i], transport.KindCollection, round1)
 	})
 	nReplaySample := uint64((cfg.Provers + cfg.ReplayEvery - 1) / cfg.ReplayEvery)
 	res.ReplaySent = nReplaySample * h
@@ -277,32 +200,16 @@ func E15MillionProvers(cfg E15Config) (*E15Result, error) {
 	res.CheckpointNS = time.Since(cpStart).Nanoseconds()
 	res.CheckpointBytes = int(cpStats.Bytes)
 
-	// Internal consistency: conservation and exactly-once.
-	wantAccepted := uint64(cfg.Provers)*2*h + nSeed
-	if res.Accepted != wantAccepted {
-		return res, fmt.Errorf("e15: accepted %d, want %d (verification failures at scale)",
-			res.Accepted, wantAccepted)
-	}
-	if res.Accepted+res.Rejected != res.Sent {
-		return res, fmt.Errorf("e15: counts not conserved: %d+%d != %d",
-			res.Accepted, res.Rejected, res.Sent)
-	}
-	if got := counts.Replays - preReplay.Replays; got != res.ReplaySent {
-		return res, fmt.Errorf("e15: replay sample rejected %d times, want exactly %d", got, res.ReplaySent)
-	}
-	if res.Enrolled != cfg.Provers {
-		return res, fmt.Errorf("e15: enrolled %d, want %d", res.Enrolled, cfg.Provers)
+	err = fleetTally{
+		sent: res.Sent, accepted: res.Accepted, rejected: res.Rejected,
+		wantAccepted: uint64(cfg.Provers)*2*h + nSeed,
+		replaySent:   res.ReplaySent, replayed: counts.Replays - preReplay.Replays,
+		enrolled: res.Enrolled, wantEnrolled: cfg.Provers,
+	}.check()
+	if err != nil {
+		return res, fmt.Errorf("e15: %v", err)
 	}
 	return res, nil
-}
-
-// settledHeap returns live heap bytes after a full GC — the stable
-// measure of retained server state.
-func settledHeap() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
 }
 
 // RenderE15 formats the run as text.

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"saferatt/internal/core"
@@ -32,21 +31,11 @@ import (
 type E16Config struct {
 	// Provers is the fleet size; default 1_000_000.
 	Provers int
-	// MemSize / BlockSize set the golden image; defaults 4 KiB / 256.
-	MemSize   int
-	BlockSize int
-	// DirtyFrac is the fleet fraction re-ingested before the delta
-	// measurement; default 0.01.
-	DirtyFrac float64
 	// CheckpointEvery is the background checkpoint interval during the
 	// concurrent round; default 250ms.
 	CheckpointEvery time.Duration
 	// Workers is the ingest concurrency; default GOMAXPROCS.
 	Workers int
-	// Stripes overrides the server's lock-stripe count; 0 = default.
-	Stripes int
-	// Seed parameterizes the golden image.
-	Seed uint64
 	// MinDeltaSpeedup fails the run if the ~1%-dirty delta encode is
 	// not at least this many times faster than the full encode;
 	// default 10, <0 disables.
@@ -79,23 +68,8 @@ func (c *E16Config) setDefaults() {
 	if c.Provers == 0 {
 		c.Provers = 1_000_000
 	}
-	if c.MemSize == 0 {
-		c.MemSize = 4 << 10
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 256
-	}
-	if c.DirtyFrac == 0 {
-		c.DirtyFrac = 0.01
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 250 * time.Millisecond
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
 	}
 	if c.MinDeltaSpeedup == 0 {
 		c.MinDeltaSpeedup = 10
@@ -139,8 +113,8 @@ type E16Result struct {
 	FullBytes      int64
 	FullAllocBytes uint64
 
-	// Delta snapshot with DirtyProvers (~DirtyFrac of the fleet)
-	// dirty; DeltaSpeedup = FullNS / DeltaNS.
+	// Delta snapshot with DirtyProvers (every 100th prover, 1% of the
+	// fleet) dirty; DeltaSpeedup = FullNS / DeltaNS.
 	DirtyProvers int64
 	DeltaNS      int64
 	DeltaBytes   int64
@@ -152,14 +126,13 @@ type E16Result struct {
 	RestoreNS   int64
 }
 
+// e16DirtyEvery re-ingests every n-th prover (1% of the fleet) before
+// the delta measurement.
+const e16DirtyEvery = 100
+
 // E16ZeroStallCheckpoint runs the experiment.
 func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 	cfg.setDefaults()
-	logf := func(format string, args ...any) {
-		if cfg.Logf != nil {
-			cfg.Logf(format, args...)
-		}
-	}
 	dir := cfg.Dir
 	if dir == "" {
 		var err error
@@ -169,92 +142,50 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 		defer os.RemoveAll(dir)
 	}
 
-	image := rattd.GoldenImage(cfg.Seed, cfg.MemSize, cfg.BlockSize)
-	srv, err := rattd.Serve(transport.NewLocal(), rattd.Config{
-		Ref: image, BlockSize: cfg.BlockSize, Stripes: cfg.Stripes,
-	})
+	image := goldenImage(0)
+	srv, err := serveLocal(rattd.Config{Ref: image})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
-	res := &E16Result{Provers: cfg.Provers, Workers: cfg.Workers, Stripes: srv.Stripes()}
+	f := newFleet(cfg.Provers, cfg.Workers, cfg.Logf)
+	res := &E16Result{Provers: cfg.Provers, Workers: f.workers, Stripes: srv.Stripes()}
 
-	names := make([]string, cfg.Provers)
-	for i := range names {
-		names[i] = fmt.Sprintf("prv%07d", i)
-	}
-	// One shared key: for a given counter every prover's report is
-	// byte-identical, so one template measurement serves the fleet
-	// (E15's amortization).
-	tmpl, err := rattd.NewProver("tmpl", rattd.DefaultKey, image, cfg.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	report := func(ctr uint64) ([]core.Report, error) {
-		r, err := tmpl.SelfMeasure(ctr)
-		if err != nil {
+	// rounds[k] is the one-report collection at counter k+1, shared by
+	// the whole fleet.
+	rounds := make([][]core.Report, 5)
+	for k := range rounds {
+		if rounds[k], err = bundle(image, uint64(k+1), uint64(k+1)); err != nil {
 			return nil, err
 		}
-		return []core.Report{*r}, nil
 	}
-	round1, err := report(1)
-	if err != nil {
-		return nil, err
-	}
-	round2, err := report(2)
-	if err != nil {
-		return nil, err
-	}
-	round3, err := report(3)
-	if err != nil {
-		return nil, err
-	}
-
-	fanOut := func(fn func(i int)) {
-		var wg sync.WaitGroup
-		per := (cfg.Provers + cfg.Workers - 1) / cfg.Workers
-		for w := 0; w < cfg.Workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if hi > cfg.Provers {
-				hi = cfg.Provers
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+	ingest := func(round []core.Report) func(i int) {
+		return func(i int) { srv.Ingest(f.names[i], transport.KindCollection, round) }
 	}
 
 	// Round 1 enrolls the fleet (also warms every code path).
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round1) })
-	logf("e16: enrolled %d provers", srv.Enrolled())
+	f.each(ingest(rounds[0]))
+	f.logf("e16: enrolled %d provers", srv.Enrolled())
 
 	// Round 2: no-checkpoint baseline throughput.
 	start := time.Now()
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round2) })
+	f.each(ingest(rounds[1]))
 	res.BaseVerPerSec = float64(cfg.Provers) / time.Since(start).Seconds()
-	logf("e16: baseline round: %.0f ver/s", res.BaseVerPerSec)
+	f.logf("e16: baseline round: %.0f ver/s", res.BaseVerPerSec)
 
 	// Round 3: same traffic while the checkpointer runs continuously
 	// against the on-disk chain — base first (the whole enrolled
 	// fleet), then interval-driven deltas/compactions during ingest.
 	path := filepath.Join(dir, "cp.0")
 	ck := rattd.NewCheckpointer(srv, rattd.CheckpointerConfig{
-		Path: path, Interval: cfg.CheckpointEvery, Logf: logf,
+		Path: path, Interval: cfg.CheckpointEvery, Logf: f.logf,
 	})
 	if err := ck.Tick(); err != nil {
 		return nil, fmt.Errorf("e16: base checkpoint: %v", err)
 	}
 	ck.Start()
 	start = time.Now()
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round3) })
+	f.each(ingest(rounds[2]))
 	ckptWall := time.Since(start)
 	if err := ck.Close(); err != nil {
 		return nil, fmt.Errorf("e16: final checkpoint: %v", err)
@@ -263,7 +194,7 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 	res.ConcurrentRatio = res.CkptVerPerSec / res.BaseVerPerSec
 	st := ck.Stats()
 	res.Checkpoints = st.Fulls + st.Deltas
-	logf("e16: concurrent round: %.0f ver/s (%.2fx of baseline), %d checkpoint files (%d full, %d delta, %d compactions)",
+	f.logf("e16: concurrent round: %.0f ver/s (%.2fx of baseline), %d checkpoint files (%d full, %d delta, %d compactions)",
 		res.CkptVerPerSec, res.ConcurrentRatio, res.Checkpoints, st.Fulls, st.Deltas, st.Compactions)
 
 	// Chain restore: reload the on-disk base+deltas into a fresh
@@ -274,9 +205,7 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("e16: chain restore: %v", err)
 	}
-	srv2, err := rattd.Serve(transport.NewLocal(), rattd.Config{
-		Ref: image, BlockSize: cfg.BlockSize, Stripes: cfg.Stripes,
-	})
+	srv2, err := serveLocal(rattd.Config{Ref: image})
 	if err != nil {
 		return nil, err
 	}
@@ -287,20 +216,16 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 	if got := srv2.Enrolled(); got != cfg.Provers {
 		return nil, fmt.Errorf("e16: restored %d provers, want %d", got, cfg.Provers)
 	}
-	probe := names[cfg.Provers/2]
-	srv2.Ingest(probe, transport.KindCollection, round3) // already accepted pre-"crash"
+	probe := f.names[cfg.Provers/2]
+	srv2.Ingest(probe, transport.KindCollection, rounds[2]) // already accepted pre-"crash"
 	if c := srv2.Counts(); c.Replays != 1 {
 		return nil, fmt.Errorf("e16: restored server did not reject pre-crash replay: %+v", c)
 	}
-	round4, err := report(4)
-	if err != nil {
-		return nil, err
-	}
-	srv2.Ingest(probe, transport.KindCollection, round4)
+	srv2.Ingest(probe, transport.KindCollection, rounds[3])
 	if c := srv2.Counts(); c.Accepted != 1 {
 		return nil, fmt.Errorf("e16: restored server rejected fresh counter: %+v", c)
 	}
-	logf("e16: chain restore (%d deltas) in %.2fs, replay rejected, fresh accepted",
+	f.logf("e16: chain restore (%d deltas) in %.2fs, replay rejected, fresh accepted",
 		res.ChainDeltas, float64(res.RestoreNS)/1e9)
 
 	// Zero-stall round: a full snapshot streams to a writer that
@@ -321,7 +246,7 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 		encDone <- err
 	}()
 	start = time.Now()
-	fanOut(func(i int) { srv.Ingest(names[i], transport.KindCollection, round4) })
+	f.each(ingest(rounds[3]))
 	slowWall := time.Since(start)
 	select {
 	case err := <-encDone:
@@ -336,7 +261,7 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 	}
 	res.SlowVerPerSec = float64(cfg.Provers) / slowWall.Seconds()
 	res.StallRatio = res.SlowVerPerSec / res.BaseVerPerSec
-	logf("e16: zero-stall round: %.0f ver/s (%.2fx of baseline) with a disk-speed snapshot in flight (overlapped=%v, %d B written)",
+	f.logf("e16: zero-stall round: %.0f ver/s (%.2fx of baseline) with a disk-speed snapshot in flight (overlapped=%v, %d B written)",
 		res.SlowVerPerSec, res.StallRatio, res.EncodeOverlapped, sw.n)
 
 	// Full streaming encode, pool warm. A throwaway encode first: it
@@ -358,21 +283,29 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 	runtime.ReadMemStats(&msAfter)
 	res.FullBytes = fullStats.Bytes
 	res.FullAllocBytes = msAfter.TotalAlloc - msBefore.TotalAlloc
-	logf("e16: full streaming encode: %d bytes in %.3fs, %.1f KiB allocated",
+	f.logf("e16: full streaming encode: %d bytes in %.3fs, %.1f KiB allocated",
 		res.FullBytes, float64(res.FullNS)/1e9, float64(res.FullAllocBytes)/1024)
 
-	// Delta encode with ~DirtyFrac of the fleet freshly dirty.
-	every := int(1 / cfg.DirtyFrac)
-	round5, err := report(5)
-	if err != nil {
-		return nil, err
-	}
-	fanOut(func(i int) {
-		if i%every == 0 {
-			srv.Ingest(names[i], transport.KindCollection, round5)
+	// Delta encode with 1% of the fleet freshly dirty.
+	f.each(func(i int) {
+		if i%e16DirtyEvery == 0 {
+			srv.Ingest(f.names[i], transport.KindCollection, rounds[4])
 		}
 	})
 	res.DirtyProvers = srv.DirtyCount()
+	// The serving daemon saw four full rounds and the dirty slice, all
+	// fresh: every report accepted, no replays, the fleet enrolled.
+	fresh := 4*uint64(cfg.Provers) + uint64((cfg.Provers+e16DirtyEvery-1)/e16DirtyEvery)
+	c := srv.Counts()
+	err = fleetTally{
+		sent: fresh, accepted: c.Accepted, rejected: c.Rejected,
+		wantAccepted: fresh,
+		replayed:     c.Replays,
+		enrolled:     srv.Enrolled(), wantEnrolled: cfg.Provers,
+	}.check()
+	if err != nil {
+		return res, fmt.Errorf("e16: serving daemon: %v", err)
+	}
 	deltaStart := time.Now()
 	deltaStats, err := srv.WriteCheckpoint(io.Discard, rattd.SnapshotOptions{Delta: true, ChainID: 99, Seq: 1})
 	if err != nil {
@@ -381,7 +314,7 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 	res.DeltaNS = time.Since(deltaStart).Nanoseconds()
 	res.DeltaBytes = deltaStats.Bytes
 	res.DeltaSpeedup = float64(res.FullNS) / float64(res.DeltaNS)
-	logf("e16: delta encode (%d dirty): %d bytes in %.4fs — %.0fx faster than full",
+	f.logf("e16: delta encode (%d dirty): %d bytes in %.4fs — %.0fx faster than full",
 		res.DirtyProvers, res.DeltaBytes, float64(res.DeltaNS)/1e9, res.DeltaSpeedup)
 
 	if cfg.MinDeltaSpeedup > 0 && res.DeltaSpeedup < cfg.MinDeltaSpeedup {

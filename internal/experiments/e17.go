@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"saferatt/internal/core"
@@ -40,25 +38,13 @@ type E17Config struct {
 	// Classes is the number of device classes (distinct golden
 	// images); default 4. Prover i belongs to class i mod Classes.
 	Classes int
-	// MemSize / BlockSize set the per-class golden geometry;
-	// defaults 4 KiB / 256.
-	MemSize   int
-	BlockSize int
-	// History is the collection depth per round; default 4.
-	History int
 	// Workers is the ingest concurrency; default GOMAXPROCS.
 	Workers int
-	// Stripes overrides the server's lock-stripe count; 0 = default.
-	Stripes int
-	// Grace is the rotation grace window in epochs; default 1.
-	Grace uint64
 	// GhostEvery sends one unknown-image report per n-th index from a
 	// fresh prover; default 1000. ReplayEvery replays the round-one
 	// bundle of every n-th prover; default 1000.
 	GhostEvery  int
 	ReplayEvery int
-	// Seed parameterizes the goldens; class c uses Seed+c.
-	Seed uint64
 	// Logf, if set, receives phase progress.
 	Logf func(format string, args ...any)
 }
@@ -70,31 +56,16 @@ func (c *E17Config) setDefaults() {
 	if c.Classes == 0 {
 		c.Classes = 4
 	}
-	if c.MemSize == 0 {
-		c.MemSize = 4 << 10
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 256
-	}
-	if c.History == 0 {
-		c.History = 4
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Grace == 0 {
-		c.Grace = 1
-	}
 	if c.GhostEvery == 0 {
 		c.GhostEvery = 1000
 	}
 	if c.ReplayEvery == 0 {
 		c.ReplayEvery = 1000
 	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
 }
+
+// e17Grace is the rotation grace window in epochs.
+const e17Grace = 1
 
 // E17Result is the heterogeneous-fleet run's outcome.
 type E17Result struct {
@@ -123,8 +94,9 @@ type E17Result struct {
 	Replays  uint64
 	// StaleRejected / UnknownRejected / ReplaySent break the rejects
 	// down by cause (registry probe counters + the deliberate replay
-	// volume); CatchupAccepted counts the laggards' post-flash
-	// re-submissions of previously-refused counters.
+	// volume); CatchupAccepted is the server's accept count across the
+	// laggards' post-flash re-submissions of previously-refused
+	// counters.
 	StaleRejected   uint64
 	UnknownRejected uint64
 	ReplaySent      uint64
@@ -162,12 +134,7 @@ func e17ClassName(c int) string {
 // E17HeterogeneousFleet runs the experiment.
 func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	cfg.setDefaults()
-	logf := func(format string, args ...any) {
-		if cfg.Logf != nil {
-			cfg.Logf(format, args...)
-		}
-	}
-	h := uint64(cfg.History)
+	const h = fleetHistory
 
 	// Registry: one golden per class, golden-backed so rotation takes
 	// the derived digest-cache path. Class 0 is the fleet default.
@@ -175,80 +142,37 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	// KeepEpochs matches the daemon's single-image default: a
 	// too-small epoch cache would thrash on multi-counter histories
 	// and recompute the expected tag per report.
-	set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: cfg.Grace, KeepEpochs: 64})
+	set := verifier.NewImageSet(verifier.ImageSetConfig{Grace: e17Grace, KeepEpochs: 64})
 	for c := 0; c < cfg.Classes; c++ {
-		goldens[c] = mem.NewGolden(rattd.GoldenImage(cfg.Seed+uint64(c), cfg.MemSize, cfg.BlockSize), cfg.BlockSize, 1)
+		goldens[c] = mem.NewGolden(goldenImage(c), fleetBlockSize, 1)
 		if _, err := set.Add(e17ClassName(c), verifier.ImageOfGolden(goldens[c])); err != nil {
 			return nil, err
 		}
 	}
-	srv, err := rattd.Serve(transport.NewLocal(), rattd.Config{
-		Images: set, BlockSize: cfg.BlockSize, Stripes: cfg.Stripes,
-	})
+	srv, err := serveLocal(rattd.Config{Images: set})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
+	f := newFleet(cfg.Provers, cfg.Workers, cfg.Logf)
 
 	rot := 1 % cfg.Classes // the class that rotates mid-run
 	res := &E17Result{
-		Provers: cfg.Provers, Classes: cfg.Classes, Workers: cfg.Workers,
-		Stripes: srv.Stripes(), History: cfg.History, Grace: cfg.Grace,
+		Provers: cfg.Provers, Classes: cfg.Classes, Workers: f.workers,
+		Stripes: srv.Stripes(), History: fleetHistory, Grace: e17Grace,
 		RotatedClass: e17ClassName(rot),
 		TotalBlocks:  goldens[rot].NumBlocks(),
 	}
 
-	names := make([]string, cfg.Provers)
-	for i := range names {
-		names[i] = fmt.Sprintf("prv%07d", i)
-	}
-	// One template prover per class: the fleet shares a key, so for a
-	// given counter every same-class report is byte-identical — one
-	// measurement serves the whole class (the same amortization the
-	// batch verifier performs on the receive side).
-	bundle := func(g *mem.Golden, lo, hi uint64) ([]core.Report, error) {
-		tmpl, err := rattd.NewProver("tmpl", rattd.DefaultKey, g.Bytes(), cfg.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		var rs []core.Report
-		for c := lo; c <= hi; c++ {
-			r, err := tmpl.SelfMeasure(c)
-			if err != nil {
-				return nil, err
-			}
-			rs = append(rs, *r)
-		}
-		return rs, nil
-	}
+	// One template bundle per class: every same-class report for a
+	// given counter is byte-identical.
 	round1 := make([][]core.Report, cfg.Classes)
 	for c := range round1 {
-		if round1[c], err = bundle(goldens[c], 1, h); err != nil {
+		if round1[c], err = bundle(goldens[c].Bytes(), 1, h); err != nil {
 			return nil, err
 		}
 	}
 
-	fanOut := func(fn func(i int)) {
-		var wg sync.WaitGroup
-		per := (cfg.Provers + cfg.Workers - 1) / cfg.Workers
-		for w := 0; w < cfg.Workers; w++ {
-			lo, hi := w*per, (w+1)*per
-			if hi > cfg.Provers {
-				hi = cfg.Provers
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
 	classOf := func(i int) int { return i % cfg.Classes }
 	// Laggards are the odd half of the rotated class: they keep
 	// running the retired image through the grace window.
@@ -263,27 +187,34 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 
 	start := time.Now()
 	// Round 1: every prover announces its class and attests.
-	fanOut(func(i int) {
-		srv.IngestImage(names[i], transport.KindCollection, e17ClassName(classOf(i)), round1[classOf(i)])
+	f.each(func(i int) {
+		srv.IngestImage(f.names[i], transport.KindCollection, e17ClassName(classOf(i)), round1[classOf(i)])
 	})
 	res.Sent += uint64(cfg.Provers) * h
-	logf("e17: round 1 done: %d provers across %d classes", srv.Enrolled(), cfg.Classes)
+	f.logf("e17: round 1 done: %d provers across %d classes", srv.Enrolled(), cfg.Classes)
 
 	// The OTA: one block of the rotated class's image changes, and the
 	// registry rotates live — predecessor pinned for the grace window.
 	v2bytes := append([]byte(nil), goldens[rot].Bytes()...)
 	blk := 2 % goldens[rot].NumBlocks()
-	for j := blk * cfg.BlockSize; j < (blk+1)*cfg.BlockSize && j < len(v2bytes); j++ {
+	for j := blk * fleetBlockSize; j < (blk+1)*fleetBlockSize && j < len(v2bytes); j++ {
 		v2bytes[j] ^= 0xA5
 	}
-	v2 := mem.NewGolden(v2bytes, cfg.BlockSize, 1)
+	v2 := mem.NewGolden(v2bytes, fleetBlockSize, 1)
 	res.DiffBlocks = len(v2.DiffBlocks(goldens[rot]))
 	rotID, err := set.Rotate(e17ClassName(rot), verifier.ImageOfGolden(v2))
 	if err != nil {
 		return nil, err
 	}
-	logf("e17: rotated %s (v%d, %d/%d blocks changed)",
+	f.logf("e17: rotated %s (v%d, %d/%d blocks changed)",
 		e17ClassName(rot), rotID.Version, res.DiffBlocks, res.TotalBlocks)
+	// current is each class's image after the rotation.
+	current := func(c int) []byte {
+		if c == rot {
+			return v2bytes
+		}
+		return goldens[c].Bytes()
+	}
 
 	// Round 2, inside grace: updated devices attest the new version,
 	// laggards pin the retired one — both verify, zero failures.
@@ -291,27 +222,23 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	newPinned := fmt.Sprintf("%s@v%d", e17ClassName(rot), rotID.Version)
 	round2 := make([][]core.Report, cfg.Classes)
 	for c := range round2 {
-		g := goldens[c]
-		if c == rot {
-			g = v2
-		}
-		if round2[c], err = bundle(g, h+1, 2*h); err != nil {
+		if round2[c], err = bundle(current(c), h+1, 2*h); err != nil {
 			return nil, err
 		}
 	}
-	lagRound2, err := bundle(goldens[rot], h+1, 2*h)
+	lagRound2, err := bundle(goldens[rot].Bytes(), h+1, 2*h)
 	if err != nil {
 		return nil, err
 	}
-	fanOut(func(i int) {
+	f.each(func(i int) {
 		c := classOf(i)
 		switch {
 		case isLaggard(i):
-			srv.IngestImage(names[i], transport.KindCollection, oldPinned, lagRound2)
+			srv.IngestImage(f.names[i], transport.KindCollection, oldPinned, lagRound2)
 		case c == rot:
-			srv.IngestImage(names[i], transport.KindCollection, newPinned, round2[c])
+			srv.IngestImage(f.names[i], transport.KindCollection, newPinned, round2[c])
 		default:
-			srv.Ingest(names[i], transport.KindCollection, round2[c])
+			srv.Ingest(f.names[i], transport.KindCollection, round2[c])
 		}
 	})
 	res.Sent += uint64(cfg.Provers) * h
@@ -320,23 +247,23 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	if inGrace.Rejected != 0 {
 		return res, fmt.Errorf("e17: %d spurious failures during grace", inGrace.Rejected)
 	}
-	logf("e17: round 2 done inside grace: accepted %d, rejected %d", inGrace.Accepted, inGrace.Rejected)
+	f.logf("e17: round 2 done inside grace: accepted %d, rejected %d", inGrace.Accepted, inGrace.Rejected)
 
 	// Past grace: the pinned predecessor is pruned.
-	for e := uint64(0); e < cfg.Grace+2; e++ {
+	for e := uint64(0); e < e17Grace+2; e++ {
 		set.AdvanceEpoch()
 	}
 
 	// Stale phase: laggards still on the retired image are refused
 	// with the distinct stale outcome — one reject per report, their
 	// counters left unconsumed.
-	lagStale, err := bundle(goldens[rot], 2*h+1, 2*h+1)
+	lagStale, err := bundle(goldens[rot].Bytes(), 2*h+1, 2*h+1)
 	if err != nil {
 		return nil, err
 	}
-	fanOut(func(i int) {
+	f.each(func(i int) {
 		if isLaggard(i) {
-			srv.IngestImage(names[i], transport.KindCollection, oldPinned, lagStale)
+			srv.IngestImage(f.names[i], transport.KindCollection, oldPinned, lagStale)
 		}
 	})
 	res.Sent += uint64(nLag)
@@ -344,11 +271,11 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	// Ghost phase: fresh provers claim an image the registry has never
 	// seen — the distinct unknown-image outcome.
 	nGhost := (cfg.Provers + cfg.GhostEvery - 1) / cfg.GhostEvery
-	ghost, err := bundle(goldens[0], 1, 1)
+	ghost, err := bundle(goldens[0].Bytes(), 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	fanOut(func(i int) {
+	f.each(func(i int) {
 		if i%cfg.GhostEvery == 0 {
 			srv.IngestImage(fmt.Sprintf("ghost%07d", i), transport.KindCollection, "ghost", ghost)
 		}
@@ -358,24 +285,28 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	// Catch-up: laggards finish flashing and re-submit the very
 	// counters that were refused — a rejected report never consumes
 	// freshness, so these now verify clean against the new version.
-	lagDone, err := bundle(v2, 2*h+1, 2*h+1)
+	lagDone, err := bundle(v2bytes, 2*h+1, 2*h+1)
 	if err != nil {
 		return nil, err
 	}
-	fanOut(func(i int) {
+	preCatchup := srv.Counts()
+	f.each(func(i int) {
 		if isLaggard(i) {
-			srv.IngestImage(names[i], transport.KindCollection, newPinned, lagDone)
+			srv.IngestImage(f.names[i], transport.KindCollection, newPinned, lagDone)
 		}
 	})
 	res.Sent += uint64(nLag)
-	res.CatchupAccepted = uint64(nLag)
+	res.CatchupAccepted = srv.Counts().Accepted - preCatchup.Accepted
+	if res.CatchupAccepted != uint64(nLag) {
+		return res, fmt.Errorf("e17: catch-up accepted %d, want %d laggards", res.CatchupAccepted, nLag)
+	}
 
 	// Replay phase: a sample resubmits its round-one bundle; every
 	// report must be rejected, each counted as a replay exactly once.
 	preReplay := srv.Counts()
-	fanOut(func(i int) {
+	f.each(func(i int) {
 		if i%cfg.ReplayEvery == 0 {
-			srv.IngestImage(names[i], transport.KindCollection, e17ClassName(classOf(i)), round1[classOf(i)])
+			srv.IngestImage(f.names[i], transport.KindCollection, e17ClassName(classOf(i)), round1[classOf(i)])
 		}
 	})
 	nReplay := uint64((cfg.Provers+cfg.ReplayEvery-1)/cfg.ReplayEvery) * h
@@ -390,21 +321,17 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	// 0 allocs/op); here it is recorded for the experiment's record.
 	round3 := make([][]core.Report, cfg.Classes)
 	for c := range round3 {
-		g := goldens[c]
-		if c == rot {
-			g = v2
-		}
-		if round3[c], err = bundle(g, 2*h+2, 3*h+1); err != nil {
+		if round3[c], err = bundle(current(c), 2*h+2, 3*h+1); err != nil {
 			return nil, err
 		}
 	}
 	t0 := time.Now()
-	fanOut(func(i int) {
-		srv.IngestImage(names[i], transport.KindCollection, e17ClassName(classOf(i)), round3[classOf(i)])
+	f.each(func(i int) {
+		srv.IngestImage(f.names[i], transport.KindCollection, e17ClassName(classOf(i)), round3[classOf(i)])
 	})
 	multiNS := time.Since(t0).Nanoseconds()
 	res.Sent += uint64(cfg.Provers) * h
-	res.MultiNSPerReport = float64(multiNS) / float64(cfg.Provers*cfg.History)
+	res.MultiNSPerReport = float64(multiNS) / float64(cfg.Provers*h)
 
 	counts := srv.Counts()
 	st := set.Stats()
@@ -415,19 +342,17 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	res.UnknownRejected = st.UnknownProbes
 	res.Enrolled = srv.Enrolled()
 
-	ctl, err := rattd.Serve(transport.NewLocal(), rattd.Config{
-		Ref: goldens[0].Bytes(), BlockSize: cfg.BlockSize, Stripes: cfg.Stripes,
-	})
+	ctl, err := serveLocal(rattd.Config{Ref: goldens[0].Bytes()})
 	if err != nil {
 		return res, err
 	}
 	defer ctl.Close()
 	t0 = time.Now()
-	fanOut(func(i int) {
-		ctl.Ingest(names[i], transport.KindCollection, round1[0])
+	f.each(func(i int) {
+		ctl.Ingest(f.names[i], transport.KindCollection, round1[0])
 	})
 	singleNS := time.Since(t0).Nanoseconds()
-	res.SingleNSPerReport = float64(singleNS) / float64(cfg.Provers*cfg.History)
+	res.SingleNSPerReport = float64(singleNS) / float64(cfg.Provers*h)
 	if res.SingleNSPerReport > 0 {
 		res.Ratio = res.MultiNSPerReport / res.SingleNSPerReport
 	}
@@ -445,30 +370,22 @@ func E17HeterogeneousFleet(cfg E17Config) (*E17Result, error) {
 	res.CheckpointBytes = int(cpStats.Bytes)
 
 	// Internal consistency: conservation, exactly-once, and the
-	// zero-spurious contract.
-	wantAccepted := uint64(cfg.Provers)*3*h + uint64(nLag)
-	if res.Accepted != wantAccepted {
-		return res, fmt.Errorf("e17: accepted %d, want %d (spurious outcomes in a heterogeneous fleet)",
-			res.Accepted, wantAccepted)
-	}
-	wantRejected := uint64(nLag) + uint64(nGhost) + nReplay
-	if res.Rejected != wantRejected {
-		return res, fmt.Errorf("e17: rejected %d, want %d", res.Rejected, wantRejected)
-	}
-	if res.Accepted+res.Rejected != res.Sent {
-		return res, fmt.Errorf("e17: counts not conserved: %d+%d != %d", res.Accepted, res.Rejected, res.Sent)
+	// zero-spurious contract — every reject is a stale laggard, a
+	// ghost or a deliberate replay.
+	err = fleetTally{
+		sent: res.Sent, accepted: res.Accepted, rejected: res.Rejected,
+		wantAccepted: uint64(cfg.Provers)*3*h + uint64(nLag),
+		replaySent:   nReplay, replayed: counts.Replays - preReplay.Replays,
+		enrolled: res.Enrolled, wantEnrolled: cfg.Provers + nGhost,
+	}.check()
+	if err != nil {
+		return res, fmt.Errorf("e17: %v", err)
 	}
 	if res.StaleRejected != uint64(nLag) {
 		return res, fmt.Errorf("e17: stale rejects %d, want %d", res.StaleRejected, nLag)
 	}
 	if res.UnknownRejected != uint64(nGhost) {
 		return res, fmt.Errorf("e17: unknown-image rejects %d, want %d", res.UnknownRejected, nGhost)
-	}
-	if got := counts.Replays - preReplay.Replays; got != nReplay {
-		return res, fmt.Errorf("e17: replay sample rejected %d times, want exactly %d", got, nReplay)
-	}
-	if res.Enrolled != cfg.Provers+nGhost {
-		return res, fmt.Errorf("e17: enrolled %d, want %d", res.Enrolled, cfg.Provers+nGhost)
 	}
 	return res, nil
 }

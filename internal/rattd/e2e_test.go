@@ -47,7 +47,7 @@ func TestE2ELoopbackFleet(t *testing.T) {
 			cliCfg := transport.NetConfig{DropRate: 0.05, DropSeed: 12}
 			mode.tune(&cliCfg)
 			res, err := RunFleet(FleetConfig{
-				Addr:      lis.Addr().String(),
+				Addrs:     []string{lis.Addr().String()},
 				Provers:   provers,
 				Image:     image,
 				BlockSize: testBlock,

@@ -13,17 +13,11 @@ import (
 // FleetConfig drives RunFleet: a fleet of real-socket provers
 // attesting against a rattd daemon ("rattping") or a sharded tier.
 type FleetConfig struct {
-	// Addr is the daemon's UDP address (single-shard form).
-	Addr string
-	// Addrs are the shard addresses of a rattd tier, indexed by shard.
-	// When len(Addrs) > 1 each prover routes to the shard ShardFor
-	// picks for its name — the same pure hash the tier uses — over the
-	// one shared client socket, and Addr/Daemon are ignored (shard i
-	// answers as ShardName(i)). Empty or one-element Addrs degrades to
-	// the single-daemon form.
+	// Addrs are the UDP addresses of a rattd tier, indexed by shard;
+	// a single daemon is a one-element Addrs. Each prover routes to
+	// the shard ShardFor picks for its name — the same pure hash the
+	// tier uses — over the one shared client socket.
 	Addrs []string
-	// Daemon is the daemon's endpoint name; defaults to "rattd".
-	Daemon string
 	// Provers is the fleet size.
 	Provers int
 	// Concurrency caps how many provers run their protocol at once;
@@ -79,9 +73,6 @@ func (r *FleetResult) Failures() int { return r.SMARTFail + r.CollectFail }
 // round and then ships an ERASMUS collection, and the result reports
 // verdict counts plus round-trip latency percentiles.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	if cfg.Daemon == "" {
-		cfg.Daemon = "rattd"
-	}
 	if cfg.Key == nil {
 		cfg.Key = DefaultKey
 	}
@@ -94,14 +85,13 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if cfg.Provers <= 0 {
 		return nil, fmt.Errorf("rattd: fleet of %d provers", cfg.Provers)
 	}
-	addrs := cfg.Addrs
-	if len(addrs) == 0 {
-		addrs = []string{cfg.Addr}
+	shards := len(cfg.Addrs)
+	if shards == 0 {
+		return nil, fmt.Errorf("rattd: fleet has no daemon address")
 	}
-	shards := len(addrs)
 	netCfg := cfg.Net
 	netCfg.Addr = "" // client side always takes an ephemeral port
-	tr, err := transport.Dial(addrs[0], netCfg)
+	tr, err := transport.Dial(cfg.Addrs[0], netCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +99,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	// Pin a static route per shard daemon so the first datagram to
 	// each already has an address (the transport would also learn the
 	// mapping passively from replies, but provers talk first).
-	for i, addr := range addrs {
+	for i, addr := range cfg.Addrs {
 		if err := tr.AddRoute(tierShardName(i, shards), addr); err != nil {
 			return nil, err
 		}
@@ -131,10 +121,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		}
 		prv.Shuffled = cfg.Shuffled
 		prv.ImageName = cfg.ImageName
-		daemon := cfg.Daemon
-		if shards > 1 {
-			shard := prv.ShardOf(shards)
-			daemon = ShardName(shard)
+		shard := prv.ShardOf(shards)
+		daemon := tierShardName(shard, shards)
+		if res.ShardProvers != nil {
 			res.ShardProvers[shard]++
 		}
 		wg.Add(1)
