@@ -265,10 +265,11 @@ func E16ZeroStallCheckpoint(cfg E16Config) (*E16Result, error) {
 		res.SlowVerPerSec, res.StallRatio, res.EncodeOverlapped, sw.n)
 
 	// Full streaming encode, pool warm. A throwaway encode first: it
-	// drains the dirt left by round 4 and guarantees the scratch pool
-	// is populated (GC may have emptied it during the slow round's
-	// sleeps), so the measured pass reflects the steady-state cost and
-	// its allocation bound.
+	// drains the dirt left by round 4 and refills the record-copy pool
+	// (GC may have emptied it during the slow round's sleeps), so the
+	// measured pass reflects the steady-state cost and its allocation
+	// bound. The staging buffer is the server's own, so only the
+	// per-stripe record copy can be re-made if the pool drops it.
 	if _, err := srv.WriteCheckpoint(io.Discard, rattd.SnapshotOptions{ChainID: 99}); err != nil {
 		return nil, err
 	}

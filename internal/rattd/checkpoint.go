@@ -65,7 +65,7 @@ type Checkpoint struct {
 //
 // The typed record stream lets a snapshot be *streamed*: the server
 // encodes stripe by stripe (records sorted within a stripe, per-prover
-// records adjacent) through a pooled scratch buffer, never
+// records adjacent) through a reused staging buffer, never
 // materializing the fleet, and a *delta* file carries only the records
 // dirtied since the previous snapshot. The trailing record count
 // doubles as a torn-write detector: strict decode rejects any
@@ -99,7 +99,8 @@ const (
 )
 
 // cpScratch is the pooled working set of one encode: the byte buffer
-// records are staged in and the copy/sort slices. Pooled so periodic
+// records are staged in (EncodeTo's; WriteCheckpoint stages in the
+// server's own) and the copy/sort slices. Pooled so periodic
 // checkpointing settles into zero steady-state allocation.
 type cpScratch struct {
 	buf  []byte
@@ -145,8 +146,8 @@ type SnapshotStats struct {
 // WriteCheckpoint streams the server's fleet state to w — the
 // persistence hot path. It walks stripes one at a time, holding only
 // that stripe's lock while copying its fixed-size records into pooled
-// scratch; sorting and encoding run off-lock, and the buffer is
-// flushed to w every cpFlushBytes. Ingest on the other stripes
+// scratch; sorting and encoding run off-lock into the server's staging
+// buffer, flushed to w every cpFlushBytes. Ingest on the other stripes
 // never stalls, and per-prover consistency is exact because one
 // stripe owns each prover (a commit racing the walk lands wholly in
 // this snapshot or wholly in the dirty set of the next).
@@ -158,20 +159,28 @@ type SnapshotStats struct {
 // background Checkpointer does exactly that).
 //
 // Safe to call while the server is serving; concurrent calls are not
-// useful (each would consume the other's dirty set) but not unsafe.
+// useful (each would consume the other's dirty set) but not unsafe:
+// a caller that finds the staging buffer busy stages in a fresh one.
 func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats, error) {
 	var stats SnapshotStats
 	sc := cpScratchPool.Get().(*cpScratch)
 	defer func() {
-		sc.buf = sc.buf[:0]
 		sc.recs = sc.recs[:0]
 		cpScratchPool.Put(sc)
 	}()
+	var buf []byte
+	if s.cpMu.TryLock() {
+		buf = s.cpBuf
+		defer func() {
+			s.cpBuf = buf[:0]
+			s.cpMu.Unlock()
+		}()
+	}
 
 	lease, nonce := s.leaseState()
 	stats.NonceCtr = nonce
 	hdr := Checkpoint{Lease: lease, NonceCtr: nonce, Delta: o.Delta, ChainID: o.ChainID, Seq: o.Seq}
-	buf := hdr.appendHeader(sc.buf[:0])
+	buf = hdr.appendHeader(buf[:0])
 	cw := &countingWriter{w: w}
 
 	for _, st := range s.stripes {
@@ -235,10 +244,8 @@ func (s *Server) WriteCheckpoint(w io.Writer, o SnapshotOptions) (SnapshotStats,
 	buf = append(buf, cpRecEnd)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(stats.Records))
 	if _, err := cw.Write(buf); err != nil {
-		sc.buf = buf
 		return stats, err
 	}
-	sc.buf = buf
 	stats.Bytes = cw.n
 	return stats, nil
 }

@@ -155,6 +155,13 @@ type Server struct {
 	lease    EpochLease
 	nonceCtr uint64
 
+	// WriteCheckpoint's staging buffer (≤ cpFlushBytes plus one
+	// record), owned here so a warm encode does not depend on
+	// sync.Pool keeping its puts, which the race detector drops at
+	// random. TryLock: a concurrent writer stages in a fresh buffer.
+	cpMu  sync.Mutex
+	cpBuf []byte
+
 	enrolled       atomic.Int64
 	dirtyProvers   atomic.Int64  // provers dirtied since the last checkpoint swap
 	imageFallbacks atomic.Uint64 // restored bindings to unknown images, remapped to default

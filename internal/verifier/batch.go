@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -25,20 +26,23 @@ import (
 // blocks vary per device and are not batchable; callers route them to
 // the ordinary per-report path (see swarm.Collector.Judge).
 //
-// Expected tags are cached per nonce epoch, with the whole epoch→group
-// table held as an immutable value behind an atomic pointer: Verify is
-// safe for any number of concurrent callers, and the steady-state hit
-// path — the one a daemon's dispatch workers hammer — takes no lock
-// and performs no allocation. Inserts (one per new (epoch, group),
-// i.e. once per fleet-wide expected-tag computation) copy-on-write the
-// table under a writer mutex and publish it atomically; concurrent
-// misses on the same group may compute the tag redundantly, which is
-// harmless and rare. Eviction is insertion-ordered and bounded by
-// KeepEpochs (≤1 keeps the single-epoch behavior).
+// Expected tags are cached per nonce epoch in a fixed open-addressed
+// table of atomic pointers to immutable entries: Verify is safe for
+// any number of concurrent callers, and the steady-state hit path —
+// the one a daemon's dispatch workers hammer — is one hash probe with
+// no lock and no allocation. Inserts (one per new (epoch, group), i.e.
+// once per fleet-wide expected-tag computation) run under a writer
+// mutex and touch O(1) slots: a new epoch takes one slot, a new group
+// replaces its epoch's entry, and eviction is a backward-shift delete
+// of the oldest epoch; concurrent misses on the same group may compute
+// the tag redundantly, which is harmless and rare. Eviction is
+// insertion-ordered and bounded by KeepEpochs (≤1 keeps the
+// single-epoch behavior).
 type Batch struct {
 	// KeepEpochs bounds how many nonce epochs of expected tags stay
 	// cached at once. Zero or one keeps the single-epoch behavior.
-	// Set it before the first Verify; it is read on the insert path.
+	// Set it before the first Verify: the first insert sizes the table
+	// for it (up to four 8 B slots and one 16 B ring entry per epoch).
 	KeepEpochs int
 
 	hash      suite.HashID
@@ -46,21 +50,115 @@ type Batch struct {
 	blockSize int
 	nblocks   int
 
-	cache  atomic.Pointer[batchCache]          // immutable epoch→group→tag table
+	table  atomic.Pointer[epochTable]          // allocated on first publish
 	golden atomic.Pointer[inccache.ImageCache] // lazily built for incremental reports
 	key    atomic.Pointer[keyMemo]             // []byte→string memo of the fleet key
-	mu     sync.Mutex                          // serializes copy-on-write publication
+	mu     sync.Mutex                          // serializes publication
 
 	reports  atomic.Uint64
 	computed atomic.Uint64
 }
 
-// batchCache is one published generation of the expected-tag table.
-// Everything reachable from it is immutable: readers probe with no
-// synchronization beyond the pointer load.
-type batchCache struct {
-	epochs map[string]map[groupKey][]byte
-	order  []string // insertion order, for KeepEpochs eviction
+// epochTable is the expected-tag cache: a linear-probing hash table
+// keyed by nonce epoch, sized once to a power of two at least twice
+// KeepEpochs so probe chains stay short and an empty slot always ends
+// them. Readers load slots with no lock; the writer (under Batch.mu)
+// swaps whole entries, never mutating one that is published. A reader
+// racing a delete may miss an entry that is being shifted — only a
+// recompute, since the cache is advisory — but never sees a wrong tag,
+// because every entry carries its full nonce and group keys.
+type epochTable struct {
+	seed  maphash.Seed
+	slots []atomic.Pointer[epochEntry]
+	mask  uint64
+
+	// Written only under Batch.mu: the live epochs in insertion order,
+	// a ring of len KeepEpochs (at least 1).
+	fifo       []string
+	head, live int
+}
+
+// epochEntry is one epoch's immutable slot content.
+type epochEntry struct {
+	hash  uint64 // maphash of nonce, fixing the home slot
+	nonce string
+	tags  []groupTag
+}
+
+type groupTag struct {
+	k   groupKey
+	tag []byte
+}
+
+func newEpochTable(keep int) *epochTable {
+	n := 2
+	for n < 2*keep {
+		n *= 2
+	}
+	return &epochTable{
+		seed:  maphash.MakeSeed(),
+		slots: make([]atomic.Pointer[epochEntry], n),
+		mask:  uint64(n - 1),
+		fifo:  make([]string, keep),
+	}
+}
+
+// lookup returns the cached tag for (nonce, k), or nil. The probe is
+// bounded by the table size, so it ends even if concurrent shifts keep
+// every slot it visits occupied.
+func (t *epochTable) lookup(nonce []byte, k groupKey) []byte {
+	h := maphash.Bytes(t.seed, nonce)
+	for i, n := h&t.mask, 0; n < len(t.slots); i, n = (i+1)&t.mask, n+1 {
+		e := t.slots[i].Load()
+		if e == nil {
+			return nil
+		}
+		if e.hash == h && e.nonce == string(nonce) {
+			return e.tag(k)
+		}
+	}
+	return nil
+}
+
+func (e *epochEntry) tag(k groupKey) []byte {
+	for i := range e.tags {
+		if e.tags[i].k == k {
+			return e.tags[i].tag
+		}
+	}
+	return nil
+}
+
+// find returns the slot holding epoch (hashed h), or the empty slot
+// ending its probe chain with a nil entry. Writer side only: with at
+// most KeepEpochs ≤ len/2 epochs live, an empty slot always exists.
+func (t *epochTable) find(h uint64, epoch string) (uint64, *epochEntry) {
+	i := h & t.mask
+	for {
+		e := t.slots[i].Load()
+		if e == nil || (e.hash == h && e.nonce == epoch) {
+			return i, e
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// remove deletes the epoch in slot i by backward shift: each later
+// entry of the probe run whose home slot does not lie cyclically in
+// (i, j] moves into the hole, so every remaining entry stays reachable
+// from its home without crossing an empty slot.
+func (t *epochTable) remove(i uint64) {
+	for j := (i + 1) & t.mask; ; j = (j + 1) & t.mask {
+		e := t.slots[j].Load()
+		if e == nil {
+			break
+		}
+		if home := e.hash & t.mask; (j-home)&t.mask >= (j-i)&t.mask {
+			t.slots[i].Store(e)
+			i = j
+		}
+	}
+	t.slots[i].Store(nil)
 }
 
 // keyMemo memoizes the []byte→string conversion of the attestation
@@ -127,11 +225,10 @@ func (b *Batch) Verify(key []byte, r *core.Report, shuffled bool) (bool, error) 
 		b.key.Store(km)
 	}
 	k := groupKey{key: km.str, round: r.Round, shuffled: shuffled, incremental: r.Incremental}
-	// The map probe with an inline []byte→string conversion does not
-	// allocate (compiler-recognized pattern); the conversion is only
-	// materialized on a miss, when the epoch key must be owned.
-	if c := b.cache.Load(); c != nil {
-		if exp, ok := c.epochs[string(r.Nonce)][k]; ok {
+	// The probe hashes and compares the nonce bytes in place; the epoch
+	// key is only copied to an owned string on a miss.
+	if t := b.table.Load(); t != nil {
+		if exp := t.lookup(r.Nonce, k); exp != nil {
 			b.reports.Add(1)
 			return hmac.Equal(exp, r.Tag), nil
 		}
@@ -146,43 +243,39 @@ func (b *Batch) Verify(key []byte, r *core.Report, shuffled bool) (bool, error) 
 	return hmac.Equal(exp, r.Tag), nil
 }
 
-// publish inserts (epoch, group) → tag by copy-on-write: clone the
-// table, insert, evict past KeepEpochs, swap the pointer. Runs once
+// publish inserts (epoch, group) → tag in O(1) slot writes: a new
+// group replaces its epoch's entry; a new epoch first evicts the
+// oldest if KeepEpochs are live, then takes an empty slot. Runs once
 // per expected-tag computation — off every hit path.
 func (b *Batch) publish(epoch string, k groupKey, exp []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	keep := b.KeepEpochs
-	if keep < 1 {
-		keep = 1
+	t := b.table.Load()
+	if t == nil {
+		t = newEpochTable(max(b.KeepEpochs, 1))
+		b.table.Store(t)
 	}
-	old := b.cache.Load()
-	next := &batchCache{epochs: map[string]map[groupKey][]byte{}}
-	if old != nil {
-		for e, g := range old.epochs {
-			next.epochs[e] = g
+	h := maphash.String(t.seed, epoch)
+	i, e := t.find(h, epoch)
+	if e != nil {
+		if e.tag(k) == nil {
+			tags := append(e.tags[:len(e.tags):len(e.tags)], groupTag{k, exp})
+			t.slots[i].Store(&epochEntry{hash: h, nonce: epoch, tags: tags})
 		}
-		next.order = append(next.order, old.order...)
+		return
 	}
-	g, ok := next.epochs[epoch]
-	if !ok {
-		next.epochs[epoch] = map[groupKey][]byte{k: exp}
-		next.order = append(next.order, epoch)
-	} else if _, dup := g[k]; !dup {
-		// Clone the epoch's group map before mutating: the published
-		// generation may be mid-probe on another goroutine.
-		ng := make(map[groupKey][]byte, len(g)+1)
-		for gk, tag := range g {
-			ng[gk] = tag
-		}
-		ng[k] = exp
-		next.epochs[epoch] = ng
+	if t.live == len(t.fifo) {
+		old := t.fifo[t.head]
+		j, _ := t.find(maphash.String(t.seed, old), old)
+		t.remove(j)
+		t.head = (t.head + 1) % len(t.fifo)
+		t.live--
+		i, _ = t.find(h, epoch)
 	}
-	for len(next.order) > keep {
-		delete(next.epochs, next.order[0])
-		next.order = next.order[1:]
-	}
-	b.cache.Store(next)
+	e = &epochEntry{hash: h, nonce: epoch, tags: []groupTag{{k, exp}}}
+	t.fifo[(t.head+t.live)%len(t.fifo)] = epoch
+	t.live++
+	t.slots[i].Store(e)
 }
 
 // compute produces the expected tag for a group, streaming golden
